@@ -32,8 +32,8 @@
 //! (`mpgmres_la::raw::BufferArena`), pushes one [`stream::OpShape`] per
 //! kernel (handle + byte-span read/write sets), derives a dependency
 //! DAG from span overlap, and at sync hands wavefronts of independent
-//! ready ops to [`Backend::execute_batch`]. Shape-stable regions cache
-//! the payload-free graph and replay it with rebound payloads. Recorded
+//! ready ops to [`Backend::execute_batch`]. Every region derives its own
+//! graph; nothing is cached across regions. Recorded
 //! execution is bit-identical to eager execution by construction — the
 //! DAG only relaxes ordering between ops that cannot observe each other
 //! (see [`stream`]).
@@ -449,8 +449,7 @@ pub trait Backend:
     /// Number of row shards this backend decomposes matrix kernels
     /// over: 1 for single-device backends, N for [`ShardedBackend`].
     /// The stream layer uses this to expand SpMV/SpMM/residual into
-    /// per-shard halo-exchange + compute ops (and to salt region keys
-    /// so sharded graphs replay from their own cache entries).
+    /// per-shard halo-exchange + compute ops.
     fn shard_count(&self) -> usize {
         1
     }
@@ -1271,8 +1270,8 @@ mod tests {
         };
         let mut graph = OpGraph::new();
         let nb = n as u32 * 8;
-        graph.push("spmv", &[Span::new(hx, 0, nb)], &[Span::new(hy1, 0, nb)]);
-        graph.push("spmv", &[Span::new(hx, 0, nb)], &[Span::new(hy2, 0, nb)]);
+        graph.push(&[Span::new(hx, 0, nb)], &[Span::new(hy1, 0, nb)]);
+        graph.push(&[Span::new(hx, 0, nb)], &[Span::new(hy2, 0, nb)]);
         graph.finalize();
         assert_eq!(graph.num_batches(), 1, "independent ops share a wavefront");
         let mk = |hy: u32| BoundOp {

@@ -2,26 +2,23 @@
 //! per-submit payload bindings, and deferred batch submission.
 //!
 //! Real GPU GMRES implementations hide launch latency by recording
-//! kernels into streams/graphs and letting the driver overlap
-//! independent work; CUDA Graphs goes one step further and *replays* a
-//! captured graph every iteration instead of re-recording it. This
-//! module is the workspace's equivalent, split the same way CUDA splits
-//! it:
+//! kernels into streams and letting the driver overlap independent
+//! work. This module is the workspace's equivalent:
 //!
 //! - [`OpGraph`] is the **payload-free graph**: one [`OpShape`] per
-//!   recorded kernel (a label plus the buffer-handle byte [`Span`]s it
+//!   recorded kernel (its kind plus the buffer-handle byte [`Span`]s it
 //!   reads and writes), the dependency edges derived from span overlap
 //!   at push time, and — after [`OpGraph::finalize`] — the topological
-//!   wavefront batches. Nothing in the graph points at memory, so a
-//!   graph can be cached and replayed across iterations whose op
-//!   sequence is shape-stable (the recorder in `mpgmres::Stream` does
-//!   exactly that, keyed by region/shape).
+//!   wavefront batches. Nothing in the graph points at memory. The
+//!   recorder in `mpgmres::Stream` derives one graph per recorded
+//!   region and drops it after submission; nothing is replayed (a
+//!   replay cache measured slower than re-deriving on the host).
 //! - [`BoundOp`] is the **per-submit payload binding**: a monomorphized
 //!   kernel-launch function pointer plus a plain-data [`OpArgs`]
 //!   describing the op's operands as handles into a
-//!   [`BufferArena`]. Bindings are plain
-//!   `Copy` data — no boxed closures — so a replayed iteration performs
-//!   no graph-node or payload allocation at all.
+//!   [`BufferArena`]. Bindings are plain `Copy` data — no boxed
+//!   closures — pushed into a reused buffer, so binding an op allocates
+//!   no payload.
 //! - [`submit`] walks the finalized wavefronts in order, handing each
 //!   batch of mutually independent ready ops to
 //!   [`Backend::execute_batch`] as a [`Batch`] view.
@@ -118,16 +115,11 @@ pub enum OpKind {
     Host,
 }
 
-/// The shape of one recorded kernel: a label for diagnostics, the op's
-/// [`OpKind`], plus the buffer spans it reads and writes. The spans are
-/// the *entire* dependency interface — the DAG builder never looks
-/// inside the op — and the shape is the *entire* replay-verification
-/// interface: a cached graph accepts a re-recorded op iff its shape
-/// matches.
+/// The shape of one recorded kernel: the op's [`OpKind`] plus the buffer
+/// spans it reads and writes. The spans are the *entire* dependency
+/// interface — the DAG builder never looks inside the op.
 #[derive(Clone, Debug)]
 pub struct OpShape {
-    /// Kernel name for diagnostics (`"spmv"`, `"gemv_t"`, ...).
-    pub label: &'static str,
     /// Device kernel or deferred host step.
     pub kind: OpKind,
     /// Buffer spans the op reads.
@@ -140,22 +132,39 @@ pub struct OpShape {
 /// (earlier-write feeding later-read), WAW (write-write), or WAR
 /// (later-write clobbering an earlier read) span overlap.
 pub fn conflicts(earlier: &OpShape, later: &OpShape) -> bool {
+    spans_conflict(&earlier.reads, &earlier.writes, &later.reads, &later.writes)
+}
+
+/// [`conflicts`] over raw read/write span lists.
+fn spans_conflict(er: &[Span], ew: &[Span], lr: &[Span], lw: &[Span]) -> bool {
     let hits = |xs: &[Span], ys: &[Span]| xs.iter().any(|x| ys.iter().any(|y| x.overlaps(y)));
-    hits(&earlier.writes, &later.reads)
-        || hits(&earlier.writes, &later.writes)
-        || hits(&earlier.reads, &later.writes)
+    hits(ew, lr) || hits(ew, lw) || hits(er, lw)
+}
+
+/// One op of an [`OpGraph`]: its kind plus ranges into the graph's flat
+/// span and predecessor stores.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    kind: OpKind,
+    /// `spans[lo..mid]` are the op's reads, `spans[mid..hi]` its writes.
+    spans: (usize, usize, usize),
+    /// `preds[lo..hi]` are the earlier ops it waits for.
+    preds: (usize, usize),
 }
 
 /// The payload-free dependency DAG over a recorded op sequence. Edges
 /// point from each op to the earlier ops it must wait for, derived
 /// purely from span conflicts at [`OpGraph::push`] time; after
 /// [`OpGraph::finalize`] the graph also carries its wavefront batches,
-/// ready to be replayed against fresh payload bindings any number of
-/// times.
+/// ready to be submitted against the region's payload bindings. All
+/// storage is flat, and [`OpGraph::clear`] keeps it, so a graph reused
+/// region after region stops allocating once it has seen its largest
+/// region.
 #[derive(Debug, Default)]
 pub struct OpGraph {
-    nodes: Vec<OpShape>,
-    preds: Vec<Vec<usize>>,
+    nodes: Vec<Node>,
+    spans: Vec<Span>,
+    preds: Vec<usize>,
     /// Record-order op ids sorted by (wavefront level, host-before-
     /// device, record order); filled by `finalize`.
     order: Vec<u32>,
@@ -163,6 +172,10 @@ pub struct OpGraph {
     /// batch: `[start, host_end)` are the batch's host ops,
     /// `[host_end, end)` its device ops.
     bounds: Vec<(u32, u32, u32)>,
+    /// `finalize` scratch: each op's wavefront level, and each level's
+    /// next free host/device slot in `order`.
+    level: Vec<usize>,
+    cursor: Vec<(u32, u32)>,
 }
 
 impl OpGraph {
@@ -181,62 +194,51 @@ impl OpGraph {
         self.nodes.is_empty()
     }
 
+    /// Forget every recorded op, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.spans.clear();
+        self.preds.clear();
+        self.order.clear();
+        self.bounds.clear();
+    }
+
     /// Record a device op shape, deriving its dependencies on every
     /// earlier conflicting op. Returns the op's index. Invalidates a
     /// previous [`OpGraph::finalize`].
-    pub fn push(&mut self, label: &'static str, reads: &[Span], writes: &[Span]) -> usize {
-        self.push_kind(label, OpKind::Device, reads, writes)
+    pub fn push(&mut self, reads: &[Span], writes: &[Span]) -> usize {
+        self.push_kind(OpKind::Device, reads, writes)
     }
 
     /// Record an op shape of an explicit [`OpKind`] (host ops are the
     /// pipelined drivers' deferred decisions). Same dependency
     /// derivation as [`OpGraph::push`].
-    pub fn push_kind(
-        &mut self,
-        label: &'static str,
-        kind: OpKind,
-        reads: &[Span],
-        writes: &[Span],
-    ) -> usize {
-        let node = OpShape {
-            label,
+    pub fn push_kind(&mut self, kind: OpKind, reads: &[Span], writes: &[Span]) -> usize {
+        let preds_lo = self.preds.len();
+        for (i, nd) in self.nodes.iter().enumerate() {
+            let (lo, mid, hi) = nd.spans;
+            if spans_conflict(&self.spans[lo..mid], &self.spans[mid..hi], reads, writes) {
+                self.preds.push(i);
+            }
+        }
+        let lo = self.spans.len();
+        self.spans.extend_from_slice(reads);
+        let mid = self.spans.len();
+        self.spans.extend_from_slice(writes);
+        self.nodes.push(Node {
             kind,
-            reads: reads.to_vec(),
-            writes: writes.to_vec(),
-        };
-        let deps: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| conflicts(&self.nodes[i], &node))
-            .collect();
-        self.nodes.push(node);
-        self.preds.push(deps);
+            spans: (lo, mid, self.spans.len()),
+            preds: (preds_lo, self.preds.len()),
+        });
         self.order.clear();
         self.bounds.clear();
         self.nodes.len() - 1
     }
 
-    /// The shape of the op at `index`.
-    pub fn node(&self, index: usize) -> &OpShape {
-        &self.nodes[index]
-    }
-
-    /// Whether the op at `index` has exactly this shape — the replay
-    /// check a cached graph runs per re-recorded op (O(spans), not the
-    /// O(ops) conflict scan of a fresh [`OpGraph::push`]).
-    pub fn matches(
-        &self,
-        index: usize,
-        label: &str,
-        kind: OpKind,
-        reads: &[Span],
-        writes: &[Span],
-    ) -> bool {
-        let n = &self.nodes[index];
-        n.label == label && n.kind == kind && n.reads == reads && n.writes == writes
-    }
-
     /// Indices of the ops `index` must wait for.
     pub fn preds(&self, index: usize) -> &[usize] {
-        &self.preds[index]
+        let (lo, hi) = self.nodes[index].preds;
+        &self.preds[lo..hi]
     }
 
     /// Compute the wavefront schedule (idempotent). Batch `b` holds
@@ -251,47 +253,45 @@ impl OpGraph {
         if !self.order.is_empty() || self.nodes.is_empty() {
             return;
         }
-        let n = self.nodes.len();
-        let mut level = vec![0usize; n];
-        let mut height = 0usize;
-        for i in 0..n {
-            let l = self.preds[i]
+        self.level.clear();
+        for nd in &self.nodes {
+            let (lo, hi) = nd.preds;
+            let l = self.preds[lo..hi]
                 .iter()
-                .map(|&p| level[p] + 1)
+                .map(|&p| self.level[p] + 1)
                 .max()
                 .unwrap_or(0);
-            level[i] = l;
-            height = height.max(l + 1);
+            self.level.push(l);
         }
-        let mut host_counts = vec![0u32; height];
-        let mut dev_counts = vec![0u32; height];
-        for (i, &l) in level.iter().enumerate() {
-            if self.nodes[i].kind == OpKind::Host {
-                host_counts[l] += 1;
+        // Count each level's host and device ops, then turn the counts
+        // into (start, host_end, end) ranges.
+        let height = self.level.iter().max().map_or(0, |&l| l + 1);
+        self.bounds.resize(height, (0, 0, 0));
+        for (nd, &l) in self.nodes.iter().zip(&self.level) {
+            if nd.kind == OpKind::Host {
+                self.bounds[l].1 += 1;
             } else {
-                dev_counts[l] += 1;
+                self.bounds[l].2 += 1;
             }
         }
         let mut start = 0u32;
-        self.bounds.reserve(height);
-        for l in 0..height {
-            let host_end = start + host_counts[l];
-            let end = host_end + dev_counts[l];
-            self.bounds.push((start, host_end, end));
-            start = end;
+        for b in &mut self.bounds {
+            let (host, dev) = (b.1, b.2);
+            *b = (start, start + host, start + host + dev);
+            start += host + dev;
         }
-        self.order.resize(n, 0);
-        let mut next_host: Vec<u32> = self.bounds.iter().map(|&(s, _, _)| s).collect();
-        let mut next_dev: Vec<u32> = self.bounds.iter().map(|&(_, h, _)| h).collect();
-        for (i, &l) in level.iter().enumerate() {
-            let slot = if self.nodes[i].kind == OpKind::Host {
-                let s = next_host[l];
-                next_host[l] += 1;
-                s
+        self.cursor.clear();
+        self.cursor
+            .extend(self.bounds.iter().map(|&(s, h, _)| (s, h)));
+        self.order.resize(self.nodes.len(), 0);
+        for (i, (nd, &l)) in self.nodes.iter().zip(&self.level).enumerate() {
+            let c = &mut self.cursor[l];
+            let slot = if nd.kind == OpKind::Host {
+                c.0 += 1;
+                c.0 - 1
             } else {
-                let s = next_dev[l];
-                next_dev[l] += 1;
-                s
+                c.1 += 1;
+                c.1 - 1
             };
             self.order[slot as usize] = i as u32;
         }
@@ -324,8 +324,7 @@ impl OpGraph {
     }
 
     /// All wavefront batches as owned vectors (test/diagnostic helper;
-    /// finalizes a clone-free view by computing on demand is not
-    /// possible here, so call [`OpGraph::finalize`] first).
+    /// finalizes first).
     pub fn batches(&mut self) -> Vec<Vec<usize>> {
         self.finalize();
         (0..self.num_batches())
@@ -363,8 +362,8 @@ pub struct OpArgs {
 }
 
 /// One op's per-submit payload binding: the launch function plus its
-/// operand description. `Copy` plain data — rebinding a cached graph
-/// refills a reused `Vec<BoundOp>` without allocating.
+/// operand description. `Copy` plain data, pushed into a reused
+/// `Vec<BoundOp>` without allocating.
 #[derive(Clone, Copy, Debug)]
 pub struct BoundOp {
     /// The kernel launch.
@@ -425,8 +424,7 @@ impl<'a> Batch<'a> {
 /// Submit a finalized graph: walk the wavefront batches in order,
 /// running each batch's host ops on the submitting thread and handing
 /// its device ops to `backend.execute_batch`. `ops[i]` must hold op
-/// `i`'s binding; a replayed (cached) graph is submitted against fresh
-/// bindings each iteration.
+/// `i`'s binding.
 pub fn submit(graph: &OpGraph, ops: &[BoundOp], arena: &BufferArena, backend: &dyn Backend) {
     assert_eq!(ops.len(), graph.len(), "submit: binding count mismatch");
     for b in 0..graph.num_batches() {
@@ -451,10 +449,6 @@ mod tests {
         Span::new(buf as u32, lo, hi)
     }
 
-    fn push(g: &mut OpGraph, label: &'static str, reads: &[Span], writes: &[Span]) -> usize {
-        g.push(label, reads, writes)
-    }
-
     #[test]
     fn span_overlap_is_half_open_and_per_buffer() {
         let a = span(0, 0, 8);
@@ -474,7 +468,6 @@ mod tests {
     #[test]
     fn raw_and_war_and_waw_all_order() {
         let mk = |reads: &[Span], writes: &[Span]| OpShape {
-            label: "t",
             kind: OpKind::Device,
             reads: reads.to_vec(),
             writes: writes.to_vec(),
@@ -494,9 +487,9 @@ mod tests {
     #[test]
     fn chain_graph_is_one_op_per_batch() {
         let mut g = OpGraph::new();
-        push(&mut g, "a", &[], &[span(0, 0, 8)]);
-        push(&mut g, "b", &[span(0, 0, 8)], &[span(1, 0, 8)]);
-        push(&mut g, "c", &[span(1, 0, 8)], &[span(2, 0, 8)]);
+        g.push(&[], &[span(0, 0, 8)]);
+        g.push(&[span(0, 0, 8)], &[span(1, 0, 8)]);
+        g.push(&[span(1, 0, 8)], &[span(2, 0, 8)]);
         assert_eq!(g.preds(1), &[0]);
         assert_eq!(g.preds(2), &[1]);
         assert_eq!(g.batches(), vec![vec![0], vec![1], vec![2]]);
@@ -505,31 +498,11 @@ mod tests {
     #[test]
     fn independent_ops_share_a_batch() {
         let mut g = OpGraph::new();
-        push(&mut g, "a", &[span(3, 0, 8)], &[span(0, 0, 8)]);
-        push(&mut g, "b", &[span(3, 0, 8)], &[span(1, 0, 8)]); // shares only a read
-        push(
-            &mut g,
-            "c",
-            &[span(0, 0, 8), span(1, 0, 8)],
-            &[span(2, 0, 8)],
-        );
+        g.push(&[span(3, 0, 8)], &[span(0, 0, 8)]);
+        g.push(&[span(3, 0, 8)], &[span(1, 0, 8)]); // shares only a read
+        g.push(&[span(0, 0, 8), span(1, 0, 8)], &[span(2, 0, 8)]);
         assert_eq!(g.batches(), vec![vec![0, 1], vec![2]]);
         assert_eq!(g.preds(2), &[0, 1]);
-    }
-
-    #[test]
-    fn shape_matching_is_exact() {
-        let mut g = OpGraph::new();
-        push(&mut g, "a", &[span(0, 0, 8)], &[span(1, 0, 8)]);
-        let d = OpKind::Device;
-        assert!(g.matches(0, "a", d, &[span(0, 0, 8)], &[span(1, 0, 8)]));
-        assert!(!g.matches(0, "b", d, &[span(0, 0, 8)], &[span(1, 0, 8)]));
-        assert!(!g.matches(0, "a", d, &[span(0, 0, 9)], &[span(1, 0, 8)]));
-        assert!(!g.matches(0, "a", d, &[span(0, 0, 8)], &[]));
-        assert!(
-            !g.matches(0, "a", OpKind::Host, &[span(0, 0, 8)], &[span(1, 0, 8)]),
-            "a host op never matches a cached device node"
-        );
     }
 
     /// Host ops run on the submitting thread, ordered by the same DAG:
@@ -539,14 +512,9 @@ mod tests {
     #[test]
     fn host_ops_schedule_with_device_ops() {
         let mut g = OpGraph::new();
-        g.push("dev_a", &[], &[span(0, 0, 8)]);
-        g.push_kind(
-            "host_lagged",
-            OpKind::Host,
-            &[span(0, 0, 8)],
-            &[span(9, 0, 8)],
-        );
-        g.push("dev_b", &[], &[span(1, 0, 8)]);
+        g.push(&[], &[span(0, 0, 8)]); // device op 0
+        g.push_kind(OpKind::Host, &[span(0, 0, 8)], &[span(9, 0, 8)]); // lagged host op
+        g.push(&[], &[span(1, 0, 8)]); // device op 2
         g.finalize();
         assert_eq!(g.batches(), vec![vec![0, 2], vec![1]]);
         let (h0, d0) = g.batch_split(0);
@@ -558,12 +526,12 @@ mod tests {
     #[test]
     fn finalize_is_idempotent_and_push_invalidates_it() {
         let mut g = OpGraph::new();
-        push(&mut g, "a", &[], &[span(0, 0, 8)]);
+        g.push(&[], &[span(0, 0, 8)]);
         g.finalize();
         let first = g.batches();
         g.finalize();
         assert_eq!(g.batches(), first);
-        push(&mut g, "b", &[span(0, 0, 8)], &[span(1, 0, 8)]);
+        g.push(&[span(0, 0, 8)], &[span(1, 0, 8)]);
         assert_eq!(g.batches(), vec![vec![0], vec![1]]);
     }
 
@@ -582,9 +550,9 @@ mod tests {
             log.lock().unwrap().push(args.n0 as usize);
         }
         let mut g = OpGraph::new();
-        push(&mut g, "a", &[], &[span(0, 0, 8)]);
-        push(&mut g, "b", &[span(0, 0, 8)], &[span(1, 0, 8)]);
-        push(&mut g, "free", &[], &[span(2, 0, 8)]);
+        g.push(&[], &[span(0, 0, 8)]);
+        g.push(&[span(0, 0, 8)], &[span(1, 0, 8)]);
+        g.push(&[], &[span(2, 0, 8)]);
         g.finalize();
         let ops: Vec<BoundOp> = (0..3)
             .map(|i| BoundOp {

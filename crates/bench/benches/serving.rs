@@ -1,6 +1,6 @@
 //! Serving bench: latency and occupancy of [`SolverService`] vs offered
-//! load under the simulated V100 clock, plus the admission replay
-//! economics the CI gate pins.
+//! load under the simulated V100 clock, plus the admission parity and
+//! QoS contracts the CI gate pins.
 //!
 //! An open-loop arrival stream (deterministic LCG payloads, fractional
 //! credit accrual per cycle barrier) pushes requests through the
@@ -9,9 +9,8 @@
 //! solve) and the occupied-lane-cycle ratio; at the gate load every
 //! completed solve is also checked bit-identical to an independent
 //! [`Gmres`] run (the serving parity contract). The whole gate-load
-//! scenario then reruns in the same context: a warm service must serve
-//! every admission and cycle graph from the replay cache — the gate
-//! fields pin the hit-rate at 1.0 and the node-allocation delta at 0.
+//! scenario then reruns in the same context, and every warm outcome
+//! must be bit-identical to the first run's.
 //!
 //! Archived as `results/serving.json`; the `gate` object carries the
 //! flat uniquely-named fields the CI perf gate (`perfgate`) checks, so
@@ -33,14 +32,11 @@ struct GateRecord {
     serving_p50_seconds: f64,
     serving_p99_seconds: f64,
     serving_occupancy: f64,
-    /// Replay hits / (hits + misses) across the warm rerun.
-    serving_replay_hit_rate: f64,
-    /// Graph nodes allocated during the warm rerun (must be 0).
-    serving_warm_nodes_delta: f64,
     /// Payload buffers allocated by warm request waves on a recycled
     /// service (must be 0: pooled rhs/x0 carriers and outcome buffers).
     serving_warm_payload_allocs_delta: f64,
-    /// Every completed solve bit-identical to an independent `Gmres`.
+    /// Every completed solve bit-identical to an independent `Gmres`,
+    /// and every warm-rerun outcome bit-identical to the first run's.
     serving_parity_ok: bool,
     /// Deadline misses under EDF at subcritical load (must be 0).
     serving_qos_subcritical_deadline_misses: f64,
@@ -57,10 +53,6 @@ struct GateRecord {
     /// Largest per-tenant lane-cycle share under fair-share with two
     /// symmetric tenants (bounded near an even split).
     serving_qos_fairshare_max_share: f64,
-    /// Replay hit-rate of the warm QoS (EDF + degradation) rerun.
-    serving_qos_replay_hit_rate: f64,
-    /// Graph nodes allocated during the warm QoS rerun (must be 0).
-    serving_qos_warm_nodes_delta: f64,
     /// Payload buffers allocated across warm submit-then-cancel waves
     /// (must be 0: queued cancellation returns carriers to the pool).
     serving_qos_cancel_wave_allocs_delta: f64,
@@ -140,19 +132,21 @@ fn summary(_c: &mut Criterion) {
     }
     assert!(parity_ok, "served solves must match independent Gmres");
 
-    // Replay economics: rerun the gate scenario in the warmed context —
-    // every admission/cycle graph must replay, allocating nothing.
-    let warm = ctx.stream_stats();
+    // Warm rerun: the gate scenario again in the same context must
+    // reproduce every outcome bit for bit.
     let rerun = drive(&mut ctx, &a, cfg, lanes, &rhs, gate_load);
     assert_eq!(rerun.outcomes.len(), requests);
-    let after = ctx.stream_stats();
-    let hits = (after.hits - warm.hits) as f64;
-    let misses = (after.misses - warm.misses) as f64;
-    let hit_rate = hits / (hits + misses).max(1.0);
-    let nodes_delta = (after.nodes_allocated - warm.nodes_allocated) as f64;
+    parity_ok &= rerun.outcomes.iter().zip(&gate_run.outcomes).all(|(p, q)| {
+        p.id == q.id
+            && p.x
+                .iter()
+                .zip(&q.x)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    });
+    assert!(parity_ok, "warm rerun must reproduce every outcome");
     println!(
-        "  warm rerun: {hits} replay hits, {misses} misses (rate {hit_rate:.4}), \
-         {nodes_delta} graph nodes allocated"
+        "  warm rerun: {} outcomes bit-identical to the first run",
+        requests
     );
 
     // Zero-copy payloads: a warmed service recycling its outcomes must
@@ -280,21 +274,6 @@ fn summary(_c: &mut Criterion) {
     );
     assert!(degraded_converged, "degraded solves must meet fp64 rtol");
 
-    // Warm QoS replay: the same scenario rerun in the warmed context
-    // must serve every graph (both rungs included) from the cache.
-    let qos_warm = qos_ctx.stream_stats();
-    let qos_rerun = drive_with(&mut qos_ctx, &a, cfg, lanes, &rhs, gate_load, &qos_opts);
-    assert_eq!(qos_rerun.outcomes.len(), requests);
-    let qos_after = qos_ctx.stream_stats();
-    let qhits = (qos_after.hits - qos_warm.hits) as f64;
-    let qmisses = (qos_after.misses - qos_warm.misses) as f64;
-    let qos_hit_rate = qhits / (qhits + qmisses).max(1.0);
-    let qos_nodes_delta = (qos_after.nodes_allocated - qos_warm.nodes_allocated) as f64;
-    println!(
-        "  qos warm rerun: {qhits} hits, {qmisses} misses (rate {qos_hit_rate:.4}), \
-         {qos_nodes_delta} graph nodes allocated"
-    );
-
     // Fair share with two symmetric tenants: lane-cycle shares must
     // stay near an even split.
     let tenant_of = |i: usize| (i % 2) as u32;
@@ -372,8 +351,6 @@ fn summary(_c: &mut Criterion) {
         serving_p50_seconds: gp.p50_latency_seconds,
         serving_p99_seconds: gp.p99_latency_seconds,
         serving_occupancy: gp.occupancy,
-        serving_replay_hit_rate: hit_rate,
-        serving_warm_nodes_delta: nodes_delta,
         serving_warm_payload_allocs_delta: payload_allocs_delta,
         serving_parity_ok: parity_ok,
         serving_qos_subcritical_deadline_misses: qos_sub_misses,
@@ -383,8 +360,6 @@ fn summary(_c: &mut Criterion) {
         serving_qos_degradations: degradations,
         serving_qos_degraded_converged: degraded_converged,
         serving_qos_fairshare_max_share: fair_max_share,
-        serving_qos_replay_hit_rate: qos_hit_rate,
-        serving_qos_warm_nodes_delta: qos_nodes_delta,
         serving_qos_cancel_wave_allocs_delta: cancel_allocs_delta,
     };
     let artifact = ServingArtifact {

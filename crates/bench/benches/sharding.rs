@@ -1,9 +1,9 @@
-//! Sharding bench: the row-sharded backend's halo-exchange traffic,
-//! comm/compute overlap, and warm-replay economics on a full `Gmres`
-//! solve, archived as `results/sharding.json` for the CI perf gate.
+//! Sharding bench: the row-sharded backend's halo-exchange traffic and
+//! comm/compute overlap on a full `Gmres` solve, archived as
+//! `results/sharding.json` for the CI perf gate.
 //!
-//! Three properties are measured per shard count and pinned by the
-//! gate fields:
+//! Two properties are measured per shard count and pinned by the gate
+//! fields:
 //!
 //! - **halo model**: the simulator's charged `Halo`-class bytes must
 //!   match the machine-independent analytic form exactly — every
@@ -13,14 +13,12 @@
 //!   wall-clock in sight);
 //! - **overlap**: at >= 2 shards the recorded per-shard pieces must
 //!   overlap on the simulated timeline (critical path strictly below
-//!   serial, ratio < 1.0);
-//! - **warm replay**: a second identical solve must serve every region
-//!   from the graph cache — hit-rate 1.0, zero new graph nodes (the
-//!   pooled halo scratch means a warm sharded solve allocates nothing).
+//!   serial, ratio < 1.0).
 //!
-//! Every sharded solution is also checked bit-identical to the
-//! reference backend (`sharding_parity_ok`): sharding decides which
-//! shard computes which rows, never the arithmetic.
+//! Every sharded solution, and a second (warm) solve on the same
+//! context, is also checked bit-identical to the reference backend
+//! (`sharding_parity_ok`): sharding decides which shard computes which
+//! rows, never the arithmetic.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpgmres::precond::Identity;
@@ -44,11 +42,6 @@ struct ShardPoint {
     serial_seconds: f64,
     critical_seconds: f64,
     overlap_ratio: f64,
-    /// Replay hits across the warm (second) solve.
-    warm_hits: u64,
-    warm_misses: u64,
-    /// Graph nodes allocated by the warm solve (must be 0).
-    warm_nodes_delta: u64,
 }
 
 /// Flat, uniquely-named gate fields for the CI perf gate.
@@ -59,10 +52,6 @@ struct GateRecord {
     sharding_halo_model_error: f64,
     /// Worst (largest) critical/serial ratio across shard counts >= 2.
     sharding_overlap_ratio: f64,
-    /// Warm-solve replay hits / (hits + misses) across shard counts.
-    sharding_replay_hit_rate: f64,
-    /// Graph nodes allocated by warm sharded solves (must be 0).
-    sharding_warm_nodes_delta: f64,
     /// Every sharded solution bit-identical to the reference backend.
     sharding_parity_ok: bool,
 }
@@ -106,7 +95,6 @@ fn summary(_c: &mut Criterion) {
     let mut parity_ok = true;
     let mut worst_model_error = 0.0f64;
     let mut worst_overlap = 0.0f64;
-    let (mut hits_total, mut misses_total, mut nodes_total) = (0u64, 0u64, 0u64);
     for shards in [1usize, 2, 4] {
         let mut ctx = GpuContext::with_backend_kind(
             DeviceModel::v100_belos(),
@@ -152,24 +140,17 @@ fn summary(_c: &mut Criterion) {
             assert!(halo.bytes > 0, "{shards} shards must exchange halos");
         }
 
-        // Warm replay: the second identical solve must hit every region
-        // and allocate nothing (graph nodes or halo scratch).
-        let cold = ctx.stream_stats();
+        // A second identical solve on the warm context must reproduce
+        // the first bit for bit.
         let x_warm = solve(&mut ctx);
-        let warm = ctx.stream_stats();
         parity_ok &= x_warm
             .iter()
             .zip(&x)
             .all(|(p, q)| p.to_bits() == q.to_bits());
-        let (wh, wm) = (warm.hits - cold.hits, warm.misses - cold.misses);
-        let nodes_delta = warm.nodes_allocated - cold.nodes_allocated;
-        hits_total += wh;
-        misses_total += wm;
-        nodes_total += nodes_delta;
 
         println!(
             "  {shards} shard(s): halo {} B over {} exchanges (model {} B, err {model_error:.2e}), \
-             overlap {overlap:.3}, warm replay {wh} hits / {wm} misses, {nodes_delta} nodes",
+             overlap {overlap:.3}",
             halo.bytes, halo.calls, model_bytes
         );
         points.push(ShardPoint {
@@ -180,21 +161,15 @@ fn summary(_c: &mut Criterion) {
             serial_seconds: serial,
             critical_seconds: critical,
             overlap_ratio: overlap,
-            warm_hits: wh,
-            warm_misses: wm,
-            warm_nodes_delta: nodes_delta,
         });
     }
 
     assert!(parity_ok, "sharded solves must match the reference backend");
     assert_eq!(worst_model_error, 0.0, "halo traffic must match the model");
-    assert_eq!(nodes_total, 0, "warm sharded solves must allocate no nodes");
 
     let gate = GateRecord {
         sharding_halo_model_error: worst_model_error,
         sharding_overlap_ratio: worst_overlap,
-        sharding_replay_hit_rate: hits_total as f64 / (hits_total + misses_total).max(1) as f64,
-        sharding_warm_nodes_delta: nodes_total as f64,
         sharding_parity_ok: parity_ok,
     };
     let artifact = ShardingArtifact {

@@ -1,8 +1,7 @@
 //! Stream/pool bench: persistent-pool vs scoped-spawn kernel dispatch,
-//! the overlap the recorded DAG buys on the simulated timeline, and the
-//! per-iteration overhead a cached-graph replay saves over re-recording.
+//! and the overlap the recorded DAG buys on the simulated timeline.
 //!
-//! Three summary measurements are printed and archived as
+//! Two summary measurements are printed and archived as
 //! `results/stream.json` so CI can track the perf trajectory:
 //!
 //! - **spawn overhead**: wall time of a mid-size partitioned kernel
@@ -12,24 +11,16 @@
 //! - **overlap ratio**: `critical_path / serial` simulated time of a
 //!   recorded `BlockGmres` solve (k independent lanes) vs the chain
 //!   baseline of the matching single-RHS solve (ratio 1.0).
-//! - **record vs replay**: wall time per recorded CGS2-shaped region
-//!   when the DAG is re-derived every iteration (uncached `stream()`)
-//!   vs replayed from the graph cache (`stream_for` with a warm key) —
-//!   the same kernels execute either way, so the delta is pure graph
-//!   setup: O(R²) span scans plus node/payload allocation.
 //!
-//! On this container's single core the pool-vs-spawn delta and the
-//! replay saving are the headline numbers; on a multicore runner the
-//! overlap ratios tighten further.
+//! On a single core the pool-vs-spawn delta is the headline number; on
+//! a multicore runner the overlap ratios tighten further.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpgmres::precond::Identity;
-use mpgmres::stream::region;
-use mpgmres::{BlockGmres, Gmres, GmresConfig, GpuContext, GpuMatrix, MultiVec, RegionKey};
+use mpgmres::{BlockGmres, Gmres, GmresConfig, GpuContext, GpuMatrix, MultiVec};
 use mpgmres_bench::harness::best_of;
 use mpgmres_bench::output;
 use mpgmres_gpusim::DeviceModel;
-use mpgmres_la::basis::BasisStore;
 use mpgmres_la::pool::{ScopedSpawn, WorkerPool};
 use mpgmres_la::vec_ops::ReductionOrder;
 use mpgmres_la::{par, Csr};
@@ -76,23 +67,9 @@ struct OverlapRecord {
 }
 
 #[derive(Serialize)]
-struct ReplayRecord {
-    n: usize,
-    region_ops: usize,
-    iterations: usize,
-    record_us_per_region: f64,
-    replay_us_per_region: f64,
-    saved_us_per_region: f64,
-    speedup: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-}
-
-#[derive(Serialize)]
 struct StreamArtifact {
     spawn: SpawnRecord,
     overlap: OverlapRecord,
-    replay: ReplayRecord,
 }
 
 /// Best-of-5 wall time of `calls` partitioned SpMVs dispatched through
@@ -111,43 +88,6 @@ fn spmv_calls(
             par::spmv_parts_on(exec, parts, a, &x, &mut y);
         }
     })
-}
-
-/// One GMRES CGS2-shaped recorded region (SpMV + 2x(GEMV-T, GEMV-N) +
-/// norm): cached (replay) when `key` is set, re-derived otherwise. The
-/// kernels execute either way; the wall-time delta between the two
-/// modes is pure graph setup.
-#[allow(clippy::too_many_arguments)]
-fn cgs_region(
-    ctx: &mut GpuContext,
-    a: &GpuMatrix<f64>,
-    v: &BasisStore<f64>,
-    x: &[f64],
-    w: &mut [f64],
-    h1: &mut [f64],
-    h2: &mut [f64],
-    nrm: &mut f64,
-    ncols: usize,
-    key: Option<RegionKey>,
-) {
-    let mut st = match key {
-        Some(key) => ctx.stream_for(key),
-        None => ctx.stream(),
-    };
-    let ah = st.matrix(a);
-    let xh = st.slice(x);
-    let vh = st.basis(v);
-    let wh = st.slice_mut(w);
-    let h1h = st.slice_mut(h1);
-    let h2h = st.slice_mut(h2);
-    let nh = st.val_mut(nrm);
-    st.spmv(ah, xh, wh);
-    st.gemv_t(vh, ncols, wh.read(), h1h);
-    st.gemv_n_sub(vh, ncols, h1h.read(), wh);
-    st.gemv_t(vh, ncols, wh.read(), h2h);
-    st.gemv_n_sub(vh, ncols, h2h.read(), wh);
-    st.norm2_into(wh.read(), nh);
-    st.sync();
 }
 
 /// Direct acceptance measurement, printed and archived.
@@ -213,91 +153,7 @@ fn summary(_c: &mut Criterion) {
         "k = {k} lanes must overlap on the recorded timeline"
     );
 
-    // --- record vs replay: per-region graph-setup overhead. Small
-    // matrix on purpose: the same kernels run in both modes, and a
-    // GMRES iteration's kernels are launch-bound on the paper's GPU, so
-    // the interesting number is the per-region setup delta, not the
-    // n-dependent kernel time that would otherwise swamp it. ---
-    let ar = GpuMatrix::new(galeri::laplace2d(16, 16));
-    let nr = ar.n();
-    let ncols = 20;
-    let vbase = BasisStore::<f64>::native(nr, ncols + 2);
-    let xr: Vec<f64> = (0..nr).map(|i| 1.0 + (i % 13) as f64 / 13.0).collect();
-    let mut wr = vec![0.0f64; nr];
-    let mut h1 = vec![0.0f64; ncols];
-    let mut h2 = vec![0.0f64; ncols];
-    let mut nrm = 0.0f64;
-    let iters = 100usize;
-    let region_ops = 6usize;
-    let mut rctx = GpuContext::with_reduction(DeviceModel::v100_belos(), ReductionOrder::GPU_LIKE);
-    let key = RegionKey::new(region::GMRES_CGS, nr)
-        .with_ncols(ncols)
-        .with_k(2);
-    // Warm the cache, then measure pure replays vs pure re-records.
-    cgs_region(
-        &mut rctx,
-        &ar,
-        &vbase,
-        &xr,
-        &mut wr,
-        &mut h1,
-        &mut h2,
-        &mut nrm,
-        ncols,
-        Some(key),
-    );
-    let t_replay = best_of(5, || {
-        for _ in 0..iters {
-            cgs_region(
-                &mut rctx,
-                &ar,
-                &vbase,
-                &xr,
-                &mut wr,
-                &mut h1,
-                &mut h2,
-                &mut nrm,
-                ncols,
-                Some(key),
-            );
-        }
-    });
-    let t_record = best_of(5, || {
-        for _ in 0..iters {
-            cgs_region(
-                &mut rctx, &ar, &vbase, &xr, &mut wr, &mut h1, &mut h2, &mut nrm, ncols, None,
-            );
-        }
-    });
-    let stats = rctx.stream_stats();
-    let record_us = t_record / iters as f64 * 1e6;
-    let replay_us = t_replay / iters as f64 * 1e6;
-    println!(
-        "  record vs replay ({region_ops}-op CGS2 region, n={nr}): \
-         record {record_us:.2} us, replay {replay_us:.2} us, saved {:.2} us/region \
-         ({:.2}x; {} hits / {} misses)",
-        record_us - replay_us,
-        record_us / replay_us,
-        stats.hits,
-        stats.misses,
-    );
-    assert!(
-        stats.hits >= (5 * iters) as u64,
-        "replay runs must hit the cache"
-    );
-
     let artifact = StreamArtifact {
-        replay: ReplayRecord {
-            n: nr,
-            region_ops,
-            iterations: iters,
-            record_us_per_region: record_us,
-            replay_us_per_region: replay_us,
-            saved_us_per_region: record_us - replay_us,
-            speedup: record_us / replay_us,
-            cache_hits: stats.hits,
-            cache_misses: stats.misses,
-        },
         spawn: SpawnRecord {
             threads: THREADS,
             n,

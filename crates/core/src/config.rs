@@ -247,19 +247,6 @@ impl BasisPolicy {
             BasisPolicy::Compressed(p) => mpgmres_la::BasisStore::compressed(n, max_cols, p),
         }
     }
-
-    /// Storage code matching [`mpgmres_la::BasisStore::code`]: `Native` is
-    /// 0 so native solves keep their pre-refactor replay-region keys;
-    /// fp16 is 1, fp32 is 2. Drivers salt region tags with
-    /// `code() << 5` so each storage path replays its own stream.
-    pub fn code(self) -> u8 {
-        match self {
-            BasisPolicy::Native => 0,
-            BasisPolicy::Compressed(Precision::Fp16) => 1,
-            BasisPolicy::Compressed(Precision::Fp32) => 2,
-            BasisPolicy::Compressed(Precision::Fp64) => 3,
-        }
-    }
 }
 
 impl Serialize for BasisPolicy {
@@ -313,7 +300,9 @@ impl Serialize for StorePath {
 /// barrier. Scheduling decisions stay *outside* the arithmetic — a
 /// request's completed outcome is bit-identical under every policy;
 /// only its wait (and, under load, whether it degrades or expires)
-/// changes.
+/// changes. Every admission records one residual + norm region that
+/// derives its own DAG, so no policy changes which ops a region records
+/// or what deriving it costs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedulerPolicy {
     /// Strict arrival order (the pre-QoS behavior, and the default).

@@ -13,7 +13,6 @@
 //! `mpgmres-backend`'s determinism contract), so is the convergence
 //! behaviour.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mpgmres_backend::stream::{BoundOp, OpGraph};
@@ -39,7 +38,7 @@ use mpgmres_la::store::MatrixStore;
 use mpgmres_la::vec_ops::ReductionOrder;
 use mpgmres_scalar::{Precision, PrecisionTag, Scalar};
 
-use crate::stream::{RegionKey, StreamStats};
+use crate::stream::StreamStats;
 
 /// A sparse matrix prepared for the simulated device: the CSR data plus
 /// the structural statistics the cost model needs (bandwidth drives the
@@ -172,14 +171,18 @@ impl<S: Scalar> GpuStore<S> {
 }
 
 /// Reused per-region recording state: the buffer arena, the payload
-/// bindings, and the per-op finish times of the overlap timeline. Lives
-/// on the context (not the stream) so steady-state recording allocates
-/// nothing once the capacities are warm.
+/// bindings, the per-op finish times of the overlap timeline, and the
+/// dependency graph. Lives on the context (not the stream) so
+/// steady-state recording allocates nothing once the capacities are
+/// warm — every region still derives its own graph.
 #[derive(Debug, Default)]
 pub(crate) struct StreamScratch {
     pub(crate) arena: BufferArena,
     pub(crate) bindings: Vec<BoundOp>,
     pub(crate) finish: Vec<f64>,
+    /// The graph every region derives into, lent to the open stream and
+    /// returned at its sync so its allocations carry over.
+    pub(crate) graph: OpGraph,
 }
 
 /// Instrumented kernel executor: charges the profiler, delegates
@@ -189,16 +192,14 @@ pub(crate) struct StreamScratch {
 ///
 /// - **eager** (each method below): validate, charge the profiler,
 ///   execute — semantically "record one op and sync immediately".
-/// - **recorded**: [`GpuContext::stream`] (or
-///   [`GpuContext::stream_for`], which additionally caches and replays
-///   the derived graph for shape-stable regions) opens a
+/// - **recorded**: [`GpuContext::stream`] opens a
 ///   [`Stream`](crate::Stream) that registers buffers into an arena and
-///   enqueues ops carrying read/write handle spans; the dependency DAG
-///   executes in ready batches at sync. Recorded execution is
-///   bit-identical to eager (the DAG only relaxes ordering between ops
-///   that cannot observe each other) and lets the simulated timeline
-///   overlap independent ops (the critical-path figure of
-///   [`TimingReport`]).
+///   enqueues ops carrying read/write handle spans; every region derives
+///   its own dependency DAG, which executes in ready batches at sync.
+///   Recorded execution is bit-identical to eager (the DAG only relaxes
+///   ordering between ops that cannot observe each other) and lets the
+///   simulated timeline overlap independent ops (the critical-path
+///   figure of [`TimingReport`]).
 ///
 /// [`GpuContext::set_streaming`] turns recording off globally (every
 /// stream then degenerates to eager per-op execution) — the switch the
@@ -210,8 +211,6 @@ pub struct GpuContext {
     reduction: ReductionOrder,
     backend: Arc<dyn Backend>,
     streaming: bool,
-    /// Cached payload-free op graphs, keyed by recording region shape.
-    stream_cache: HashMap<RegionKey, Arc<OpGraph>>,
     scratch: StreamScratch,
     stream_stats: StreamStats,
     /// Shard plans of matrices run under a sharded backend (structure
@@ -256,7 +255,6 @@ impl GpuContext {
             reduction,
             backend,
             streaming: true,
-            stream_cache: HashMap::new(),
             scratch: StreamScratch::default(),
             stream_stats: StreamStats::default(),
             shard_plans: ShardPlanCache::new(),
@@ -332,40 +330,17 @@ impl GpuContext {
         self.streaming = on;
     }
 
-    /// Open an ad-hoc command recorder on this context (no graph
-    /// caching; the DAG is derived for this region instance only). See
+    /// Open a command recorder on this context; the region derives its
+    /// own dependency DAG and submits it at sync. See
     /// [`Stream`](crate::Stream) for the recording model.
     pub fn stream(&mut self) -> crate::Stream<'_> {
-        crate::Stream::begin(self, None)
+        crate::Stream::begin(self)
     }
 
-    /// Open a command recorder for a shape-stable region: the first
-    /// recording under `key` derives and caches the payload-free op
-    /// graph; later recordings replay it, verifying each op's shape and
-    /// rebinding only the payload (no node allocation, no span scans).
-    /// See [`Stream`](crate::Stream).
-    pub fn stream_for(&mut self, key: RegionKey) -> crate::Stream<'_> {
-        // Salt every keyed region with the backend's shard count: a
-        // sharded backend expands SpMV/SpMM/residual into per-shard op
-        // chains, so its graphs must never collide with single-backend
-        // recordings of the same region shape.
-        let key = key.with_shards(self.backend.shard_count());
-        crate::Stream::begin(self, Some(key))
-    }
-
-    /// Graph-cache hit/miss/allocation counters (see [`StreamStats`]).
+    /// Derivation counters of this context's recorded regions (see
+    /// [`StreamStats`]).
     pub fn stream_stats(&self) -> StreamStats {
         self.stream_stats
-    }
-
-    /// Number of cached region graphs.
-    pub fn stream_cache_len(&self) -> usize {
-        self.stream_cache.len()
-    }
-
-    /// Drop every cached region graph (counters are kept).
-    pub fn clear_stream_cache(&mut self) {
-        self.stream_cache.clear();
     }
 
     pub(crate) fn profiler_mut(&mut self) -> &mut Profiler {
@@ -395,27 +370,14 @@ impl GpuContext {
         self.scratch.arena.clear();
         self.scratch.bindings.clear();
         self.scratch.finish.clear();
+        self.scratch.graph.clear();
         self.halo_used = 0;
     }
 
-    pub(crate) fn cached_graph(&self, key: &RegionKey) -> Option<Arc<OpGraph>> {
-        self.stream_cache.get(key).cloned()
-    }
-
-    pub(crate) fn store_graph(&mut self, key: RegionKey, graph: Arc<OpGraph>) {
-        self.stream_cache.insert(key, graph);
-    }
-
-    pub(crate) fn bump_hits(&mut self) {
-        self.stream_stats.hits += 1;
-    }
-
-    pub(crate) fn bump_misses(&mut self) {
+    /// Count one derived (non-empty) region of `nodes` graph nodes.
+    pub(crate) fn count_derived(&mut self, nodes: usize) {
         self.stream_stats.misses += 1;
-    }
-
-    pub(crate) fn bump_nodes_allocated(&mut self, n: u64) {
-        self.stream_stats.nodes_allocated += n;
+        self.stream_stats.nodes_allocated += nodes as u64;
     }
 
     /// Submit a finalized recorded graph against the current scratch
@@ -1462,10 +1424,10 @@ mod tests {
         let mut y = [0.0; 3];
         ctx.store_spmv(&s, &x, &mut y);
         assert_eq!(y, [0.0, 0.0, 4.0]);
-        // A shadow store shrinks the value stream and changes the key tag.
+        // A shadow store shrinks the value stream and changes the tag.
         let sh = GpuStore::shadow_of(&a, Precision::Fp32);
         assert!(sh.value_bytes() < s.value_bytes());
-        assert_ne!(sh.tag().code(), s.tag().code());
+        assert_ne!(sh.tag(), s.tag());
         assert!(ctx.store_spmv_spec::<f64>(&sh).0 < ctx.store_spmv_spec::<f64>(&s).0);
     }
 

@@ -19,7 +19,6 @@ use crate::service::{
     Disposition, Operator, RequestId, SolveError, SolveOutcome, SolveRequest, Solver,
 };
 use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
-use crate::stream::{region, RegionKey};
 use mpgmres_backend::BackendScalar;
 use mpgmres_la::givens::GivensLsq;
 
@@ -103,11 +102,8 @@ impl<'a, S: BackendScalar> Gmres<'a, S> {
         let mut history: Vec<HistoryPoint> = Vec::new();
         // Basis storage path: Native is the classic full-width
         // MultiVector (bit-identical to the pre-BasisStore driver);
-        // Compressed stores columns narrow and promotes on read. The
-        // region tag is salted with the storage code so each path
-        // replays its own recorded stream.
+        // Compressed stores columns narrow and promotes on read.
         let mut v = self.cfg.basis.store::<S>(n, m + 1);
-        let basis_tag = v.code() << 5;
         // Scratch for promoting a compressed basis column before the
         // SpMV (a native basis borrows the column in place).
         let mut vj = vec![S::zero(); if v.is_native() { 0 } else { n }];
@@ -206,21 +202,13 @@ impl<'a, S: BackendScalar> Gmres<'a, S> {
                 // CGS passes form one recorded region: the ops chain
                 // through w/h, so the DAG reproduces eager order (and
                 // eager timing) exactly — this region is the parity
-                // anchor for recorded single-RHS execution. The op
-                // sequence is shape-stable in (n, ncols, ortho), so the
-                // region records once per shape and replays the cached
-                // graph on every later cycle (the steady-state GMRES(m)
-                // iteration re-derives nothing).
+                // anchor for recorded single-RHS execution.
                 let ncols = j + 1;
                 let mut hj1 = S::zero();
                 match self.cfg.ortho {
                     OrthoMethod::Cgs2 => {
                         // Two classical passes: 2x (GEMV-T + GEMV-N).
-                        let key = RegionKey::new(region::GMRES_CGS, n)
-                            .with_ncols(ncols)
-                            .with_k(2)
-                            .with_tag(basis_tag);
-                        let mut st = ctx.stream_for(key);
+                        let mut st = ctx.stream();
                         let ah = st.matrix(self.a);
                         let dh = st.slice(dir);
                         let vh = st.basis(&v);
@@ -240,11 +228,7 @@ impl<'a, S: BackendScalar> Gmres<'a, S> {
                         }
                     }
                     OrthoMethod::Cgs1 => {
-                        let key = RegionKey::new(region::GMRES_CGS, n)
-                            .with_ncols(ncols)
-                            .with_k(1)
-                            .with_tag(basis_tag);
-                        let mut st = ctx.stream_for(key);
+                        let mut st = ctx.stream();
                         let ah = st.matrix(self.a);
                         let dh = st.slice(dir);
                         let vh = st.basis(&v);

@@ -30,7 +30,6 @@ use crate::service::{
     Disposition, Operator, RequestId, SolveError, SolveOutcome, SolveRequest, Solver,
 };
 use crate::status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
-use crate::stream::{region, RegionKey};
 
 /// Configuration for the three-precision ladder.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -200,12 +199,9 @@ impl<'a> GmresIr3<'a> {
             store: self.cfg.store,
         };
         let middle = GmresIr::<Half, f32>::new(&self.a_mid, self.precond_lo, mid_cfg);
-        // The fp64 refinement step records as its own region, keyed on
-        // the innermost storage path so ladders over different stores
-        // land on distinct cached graphs.
-        let tag = middle.store_lo().map_or(0, |s| s.tag().code());
+        // The fp64 refinement step records as its own region.
         let outer_residual = |ctx: &mut GpuContext, x: &[f64], r: &mut [f64], norm: &mut [f64]| {
-            let mut st = ctx.stream_for(RegionKey::new(region::IR3_OUTER, n).with_tag(tag));
+            let mut st = ctx.stream();
             let ah = st.matrix(self.a_hi);
             let bh = st.slice(b);
             let xh = st.slice(x);

@@ -86,4 +86,4 @@ pub use service::{
     SolveOutcome, SolveRequest, Solver, SolverService,
 };
 pub use status::{HistoryKind, HistoryPoint, SolveResult, SolveStatus};
-pub use stream::{RegionKey, Stream, StreamStats};
+pub use stream::{Stream, StreamStats};

@@ -6,18 +6,17 @@
 //!
 //! Parity: an admitted lane runs exactly the arithmetic of the same
 //! column in a batch [`BlockGmres::solve`] — admission records the same
-//! residual + norm ops as batch init (its own [`region`] so replay keys
-//! never collide), re-seeding swaps in a fresh lane state, and cycles
+//! residual + norm ops as batch init (as its own region, which derives
+//! its DAG like every other), re-seeding swaps in a fresh lane state,
+//! and cycles
 //! run through the very same [`BlockGmres::run_cycle`] the batch driver
 //! uses. Since every batch column is bit-identical to an independent
 //! [`crate::Gmres`] solve, so is every served request.
-//!
-//! [`region`]: crate::stream::region::BLOCK_ADMIT
 
 use mpgmres_backend::BackendScalar;
 use mpgmres_la::multivec::MultiVec;
 
-use crate::block_gmres::{pipe_disc, BlockGmres, Lane, LockstepWs};
+use crate::block_gmres::{BlockGmres, Lane, LockstepWs};
 use crate::config::SchedulerPolicy;
 use crate::context::GpuContext;
 use crate::service::request::{Degradation, Disposition, RequestId, SolveOutcome};
@@ -62,7 +61,6 @@ struct Slot {
 /// iteration caps vary per lane).
 pub(crate) struct LaneEngine<'a, S: BackendScalar> {
     solver: BlockGmres<'a, S>,
-    tenant: u32,
     b: MultiVec<S>,
     x: MultiVec<S>,
     ws: LockstepWs<S>,
@@ -76,7 +74,7 @@ pub(crate) struct LaneEngine<'a, S: BackendScalar> {
 
 impl<'a, S: BackendScalar> LaneEngine<'a, S> {
     /// An idle engine with `k` vacant lane slots.
-    pub(crate) fn new(solver: BlockGmres<'a, S>, k: usize, tenant: u32) -> Self {
+    pub(crate) fn new(solver: BlockGmres<'a, S>, k: usize) -> Self {
         let n = solver.n();
         let m = solver.config().m;
         let lanes: Vec<Lane<S>> = (0..k).map(|_| solver.free_lane()).collect();
@@ -88,7 +86,6 @@ impl<'a, S: BackendScalar> LaneEngine<'a, S> {
             results: (0..k).map(|_| None).collect(),
             slots: (0..k).map(|_| None).collect(),
             solver,
-            tenant,
             cycles: 0,
             lane_cycles: 0,
             admissions: 0,
@@ -131,9 +128,7 @@ impl<'a, S: BackendScalar> LaneEngine<'a, S> {
     ///
     /// The `policy` decides *which* queued requests fill the vacancies;
     /// it never touches the arithmetic. The selected batch keeps queue
-    /// order, and the replay discriminator depends only on the lane
-    /// count and tenant, so every policy records the same region keys
-    /// and warm admissions replay with zero new graph nodes.
+    /// order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn admit_from(
         &mut self,
@@ -161,9 +156,8 @@ impl<'a, S: BackendScalar> LaneEngine<'a, S> {
         // Epoch boundary: everything charged before this mark belongs
         // to earlier admissions.
         ctx.mark_epoch();
-        let disc = pipe_disc(self.slots.len(), [self.tenant as u64, 0]);
         self.solver
-            .admit_lanes(ctx, &self.b, &self.x, &mut self.ws, admit, disc);
+            .admit_lanes(ctx, &self.b, &self.x, &mut self.ws, admit);
         let now = ctx.elapsed();
         for (&slot, q) in admit.iter().zip(batch) {
             let terminal = self.solver.reseed_lane(

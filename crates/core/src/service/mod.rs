@@ -18,8 +18,7 @@
 //! tolerances and iteration caps ride the individual lanes: stopping
 //! parameters steer decisions, never arithmetic, so mixed-tolerance
 //! lanes keep the bit-parity contract. Requests from different tenants
-//! never share a group, and the admission regions fold the tenant into
-//! their replay keys, so cached op graphs stay per-tenant.
+//! never share a group.
 //!
 //! Every completed request is bit-identical to an independent
 //! [`crate::Gmres`] solve with the same configuration — the service
@@ -169,7 +168,7 @@ impl<S> BufferPool<S> {
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct GroupKey {
     op_addr: usize,
-    op_tag: u8,
+    op_tag: Option<mpgmres_scalar::PrecisionTag>,
     precond_addr: usize,
     tenant: u32,
     m: usize,
@@ -353,9 +352,7 @@ impl<'a, S: BackendScalar> SolverService<'a, S> {
             // Retry hint: pending depth times the observed cycles per
             // completed solve, spread over the group's lanes.
             let (_, lane_cycles, _) = g.engine.counters();
-            let per_solve = lane_cycles
-                .checked_div(g.served)
-                .map_or(1, |c| c.max(1));
+            let per_solve = lane_cycles.checked_div(g.served).map_or(1, |c| c.max(1));
             let retry_after_cycles = (g.queue.len() * per_solve)
                 .div_ceil(self.cfg.lanes.max(1))
                 .max(1);
@@ -410,7 +407,7 @@ impl<'a, S: BackendScalar> SolverService<'a, S> {
     ) -> Result<usize, SolveError> {
         let key = GroupKey {
             op_addr: operator.addr(),
-            op_tag: operator.tag_code(),
+            op_tag: operator.tag(),
             precond_addr: precond as *const _ as *const () as usize,
             tenant,
             m: cfg.m,
@@ -431,7 +428,7 @@ impl<'a, S: BackendScalar> SolverService<'a, S> {
         self.groups.push(Group {
             key,
             queue: Vec::new(),
-            engine: LaneEngine::new(solver, self.cfg.lanes, tenant),
+            engine: LaneEngine::new(solver, self.cfg.lanes),
             idle_steps: 0,
             op: operator,
             precond,

@@ -6,6 +6,7 @@
 //! reject with a panic.
 
 use mpgmres_backend::BackendScalar;
+use mpgmres_scalar::PrecisionTag;
 
 use crate::config::{GmresConfig, StorePath};
 use crate::context::{GpuMatrix, GpuStore};
@@ -32,12 +33,11 @@ impl<'a, S: BackendScalar> Operator<'a, S> {
         }
     }
 
-    /// Storage-precision tag code (0 for the plain matrix), matching
-    /// the byte the recorded-region keys carry.
-    pub(crate) fn tag_code(&self) -> u8 {
+    /// Storage-precision tag (`None` for the plain matrix).
+    pub(crate) fn tag(&self) -> Option<PrecisionTag> {
         match self {
-            Operator::Matrix(_) => 0,
-            Operator::Store(a) => a.tag().code(),
+            Operator::Matrix(_) => None,
+            Operator::Store(a) => Some(a.tag()),
         }
     }
 
@@ -182,7 +182,7 @@ pub struct SolveRequest<'a, 'r, S> {
     /// Right preconditioner (identity by default).
     pub precond: &'a dyn Preconditioner<S>,
     /// Tenant tag: requests from different tenants never share lane
-    /// groups or cached op graphs in the service.
+    /// groups in the service.
     pub tenant: u32,
     /// Quality-of-service contract (priority, deadline, degradability)
     /// — scheduling only, never arithmetic.
@@ -263,8 +263,8 @@ impl<'a, 'r, S: BackendScalar> SolveRequest<'a, 'r, S> {
     }
 
     /// Check everything the drivers used to `assert!` at the boundary:
-    /// dimensions, configuration, and operand/preconditioner
-    /// compatibility.
+    /// dimensions, finite rhs and initial guess, configuration, and
+    /// operand/preconditioner compatibility.
     pub fn validate(&self) -> Result<(), SolveError> {
         self.config.validate()?;
         let n = self.operator.n();
@@ -275,6 +275,7 @@ impl<'a, 'r, S: BackendScalar> SolveRequest<'a, 'r, S> {
                 got: self.rhs.len(),
             });
         }
+        check_finite("rhs", self.rhs)?;
         if let Some(x0) = self.x0 {
             if x0.len() != n {
                 return Err(SolveError::DimensionMismatch {
@@ -283,6 +284,7 @@ impl<'a, 'r, S: BackendScalar> SolveRequest<'a, 'r, S> {
                     got: x0.len(),
                 });
             }
+            check_finite("initial guess", x0)?;
         }
         let packed =
             matches!(self.operator, Operator::Store(_)) || !matches!(self.store, StorePath::Native);
@@ -312,6 +314,14 @@ impl<'a, 'r, S: BackendScalar> SolveRequest<'a, 'r, S> {
             )));
         }
         Ok(())
+    }
+}
+
+/// [`SolveError::NonFiniteInput`] at the first NaN or infinite entry.
+fn check_finite<S: BackendScalar>(what: &'static str, v: &[S]) -> Result<(), SolveError> {
+    match v.iter().position(|x| !x.to_f64().is_finite()) {
+        Some(index) => Err(SolveError::NonFiniteInput { what, index }),
+        None => Ok(()),
     }
 }
 
@@ -429,6 +439,14 @@ pub enum SolveError {
         /// What was handed in.
         got: usize,
     },
+    /// The right-hand side or initial guess holds a NaN or an infinite
+    /// entry, which no solve can turn into a meaningful answer.
+    NonFiniteInput {
+        /// Which buffer (`"rhs"` or `"initial guess"`).
+        what: &'static str,
+        /// Index of its first non-finite entry.
+        index: usize,
+    },
     /// The [`GmresConfig`] is out of range (restart length 0, pipeline
     /// depth > 1, non-finite tolerance, ...).
     InvalidConfig(String),
@@ -472,6 +490,9 @@ impl core::fmt::Display for SolveError {
                 got,
             } => {
                 write!(f, "{what} mismatch: expected {expected}, got {got}")
+            }
+            SolveError::NonFiniteInput { what, index } => {
+                write!(f, "{what} has a non-finite entry at index {index}")
             }
             SolveError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
             SolveError::UnsupportedCombination(msg) => {

@@ -64,7 +64,7 @@ impl<L: Scalar> CompressedBasis<L> {
     }
 
     /// The backing column-major element array (length `n * max_cols`) —
-    /// what the recorded-stream arena registers so replayed reads can
+    /// what the recorded-stream arena registers so recorded reads can
     /// address the exact narrow byte span a kernel streams.
     #[inline]
     pub fn data(&self) -> &[L] {
@@ -186,10 +186,8 @@ pub fn dot_promoted<L: Scalar, S: Scalar>(x: &[L], y: &[S], order: ReductionOrde
 /// Krylov basis stored for a solver working in precision `S`, with the
 /// storage precision chosen independently of `S`.
 ///
-/// [`BasisStore::code`] reports the storage choice as a dense `u8` for
-/// region-key salting (0 = native, so native keys are unchanged from
-/// the pre-`BasisStore` layout), and [`BasisStore::elem_bytes`] is the
-/// per-element traffic the bandwidth model charges for basis reads.
+/// [`BasisStore::elem_bytes`] is the per-element traffic the bandwidth
+/// model charges for basis reads.
 #[derive(Clone, Debug)]
 pub enum BasisStore<S> {
     /// Columns in the working precision (baseline; bit-identical layout
@@ -263,18 +261,6 @@ impl<S: Scalar> BasisStore<S> {
     #[inline]
     pub fn elem_bytes(&self) -> usize {
         self.storage_precision().bytes()
-    }
-
-    /// Dense `u8` storage code for region-key salting: 0 = native (so
-    /// native keys are bit-identical to the pre-`BasisStore` keys),
-    /// 1 = fp16, 2 = fp32 — disjoint per storage precision.
-    #[inline]
-    pub fn code(&self) -> u8 {
-        match self {
-            BasisStore::Native(_) => 0,
-            BasisStore::F16(_) => 1,
-            BasisStore::F32(_) => 2,
-        }
     }
 
     /// The native multivector, if this is the native path.
@@ -474,7 +460,7 @@ mod tests {
         v.gemv_n_add(cols, &h_a, &mut wa);
         mv.gemv_n_add(cols, &h_a, &mut wb);
         assert_eq!(wa, wb);
-        assert_eq!(v.code(), 0);
+        assert!(v.is_native());
         assert_eq!(v.elem_bytes(), 8);
     }
 
@@ -487,11 +473,11 @@ mod tests {
     }
 
     #[test]
-    fn codes_and_bytes_are_per_precision() {
+    fn elem_bytes_are_per_precision() {
         let f32b = BasisStore::<f64>::compressed(4, 1, Precision::Fp32);
         let f16b = BasisStore::<f64>::compressed(4, 1, Precision::Fp16);
-        assert_eq!((f32b.code(), f32b.elem_bytes()), (2, 4));
-        assert_eq!((f16b.code(), f16b.elem_bytes()), (1, 2));
+        assert_eq!(f32b.elem_bytes(), 4);
+        assert_eq!(f16b.elem_bytes(), 2);
     }
 
     #[test]
@@ -574,7 +560,7 @@ mod tests {
         for (b, &xi) in back.iter().zip(&x) {
             assert!((b - xi).abs() <= Precision::Fp16.eps() * xi.abs().max(1e-8));
         }
-        assert_eq!(v.code(), 1);
+        assert_eq!(v.storage_precision(), Precision::Fp16);
         assert_eq!(v.elem_bytes(), 2);
     }
 

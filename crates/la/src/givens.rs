@@ -165,7 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_brute_force_least_squares() {
+    fn agrees_with_brute_force_least_squares() {
         // Random 4-column Hessenberg; compare against solving the normal
         // equations densely.
         let m = 4;

@@ -39,8 +39,7 @@
 //!   two live references alias even across worker threads.
 //!
 //! Registration order matters once per buffer, not per op: handles are
-//! dense indices in registration order, which is what lets a replayed
-//! (cached) op graph rebind a new iteration's buffers positionally.
+//! dense indices in registration order.
 
 use mpgmres_scalar::Scalar;
 

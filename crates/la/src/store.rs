@@ -124,7 +124,7 @@ impl<S: Scalar> MatrixStore<S> {
         }
     }
 
-    /// Storage-precision tag (what the stream layer keys replay on).
+    /// Storage-precision tag (what the cost model prices value bytes by).
     #[inline]
     pub fn tag(&self) -> PrecisionTag {
         match self {

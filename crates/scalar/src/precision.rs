@@ -73,13 +73,7 @@ impl fmt::Display for Precision {
 /// A solver's working precision `S` and the precision its matrix values
 /// are stored in are independent axes (the cuSPARSE fp32-shadow pattern:
 /// compute in fp64, stream fp32 matrix values). `PrecisionTag` names the
-/// storage side so the stream layer can key cached op graphs on it — a
-/// solver that promotes its store mid-run (e.g. IR switching fp32 -> fp64
-/// on stagnation) must land on a *distinct* cached graph, not silently
-/// rebuild or, worse, replay the stale one.
-///
-/// [`PrecisionTag::code`] packs the tag into a `u8` for cheap inclusion
-/// in a hashable region key.
+/// storage side, which the cost model prices value traffic by.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PrecisionTag {
     /// All values stored in one precision.
@@ -95,26 +89,6 @@ pub enum PrecisionTag {
 }
 
 impl PrecisionTag {
-    /// Dense `u8` encoding for hashing into region keys.
-    ///
-    /// Uniform tags map to `1 + precision` (1..=3); split tags map to
-    /// `16 + 4*hi + lo` so every (hi, lo) pair is distinct from every
-    /// uniform code. Code `0` is reserved for "untagged" keys.
-    #[inline]
-    pub const fn code(self) -> u8 {
-        const fn ord(p: Precision) -> u8 {
-            match p {
-                Precision::Fp16 => 0,
-                Precision::Fp32 => 1,
-                Precision::Fp64 => 2,
-            }
-        }
-        match self {
-            PrecisionTag::Uniform(p) => 1 + ord(p),
-            PrecisionTag::Split { hi, lo } => 16 + 4 * ord(hi) + ord(lo),
-        }
-    }
-
     /// The precision that dominates the value-byte traffic.
     ///
     /// For a split store this is the `lo` bucket: the split exists
@@ -164,25 +138,6 @@ mod tests {
     #[test]
     fn display_matches_name() {
         assert_eq!(Precision::Fp32.to_string(), "fp32");
-    }
-
-    #[test]
-    fn tag_codes_are_distinct_and_nonzero() {
-        let mut codes = vec![];
-        for p in Precision::ALL {
-            codes.push(PrecisionTag::Uniform(p).code());
-        }
-        for hi in Precision::ALL {
-            for lo in Precision::ALL {
-                codes.push(PrecisionTag::Split { hi, lo }.code());
-            }
-        }
-        for (i, a) in codes.iter().enumerate() {
-            assert_ne!(*a, 0, "code 0 is reserved for untagged keys");
-            for b in &codes[i + 1..] {
-                assert_ne!(a, b, "tag codes must be injective");
-            }
-        }
     }
 
     #[test]
